@@ -92,29 +92,21 @@ class SecretSharingVM:
         element over the network, one round.
         """
         x = _as_ring(values)
-        shares = [
-            self._rng.integers(0, 1 << 63, len(x), dtype=_DTYPE) * _DTYPE(2)
-            + self._rng.integers(0, 2, len(x), dtype=_DTYPE)
-            for _ in range(self.n_parties - 1)
-        ]
-        last = x.copy()
-        for s in shares:
-            last -= s
-        shares.append(last)
         self.meter.charge_comm(
             rounds=1, bytes_sent=len(x) * _WORD_BYTES * (self.n_parties - 1)
         )
-        return SharedVector(tuple(shares))
+        return self._reshare(x)
+
+    def _random_ring(self, n: int) -> np.ndarray:
+        """n uniform ring elements, one full-range 64-bit draw each."""
+        return self._rng.bit_generator.random_raw(n)
 
     def _reshare(self, cleartext_ring: np.ndarray) -> SharedVector:
         """Produce a fresh sharing of an internally-computed result
         (ideal-functionality output). No communication charge here; the
         calling ABB op charges its protocol cost."""
         shares = [
-            self._rng.integers(0, 1 << 63, len(cleartext_ring), dtype=_DTYPE)
-            * _DTYPE(2)
-            + self._rng.integers(0, 2, len(cleartext_ring), dtype=_DTYPE)
-            for _ in range(self.n_parties - 1)
+            self._random_ring(len(cleartext_ring)) for _ in range(self.n_parties - 1)
         ]
         last = cleartext_ring.copy()
         for s in shares:
@@ -180,8 +172,8 @@ class SecretSharingVM:
     # -------------------------------------------------------- Beaver triples
     def _beaver_triple(self, n: int) -> tuple[SharedVector, SharedVector, SharedVector]:
         """Trusted-dealer triple generation (semi-honest preprocessing)."""
-        a = self._rng.integers(0, 1 << 63, n, dtype=_DTYPE)
-        b = self._rng.integers(0, 1 << 63, n, dtype=_DTYPE)
+        a = self._random_ring(n)
+        b = self._random_ring(n)
         c = a * b
         return self._reshare(a), self._reshare(b), self._reshare(c)
 

@@ -51,17 +51,77 @@ def test_oblivious_sort(vm, n, descending):
     assert set(zip(got["k"], got["v"])) == set(zip(keys, vals))
 
 
+def _batcher_pairs_loop(n: int):
+    """Reference: Batcher's odd-even mergesort layers, one comparator at a
+    time."""
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            pairs = [
+                (i + j, i + j + k)
+                for j in range(k % p, n - k, 2 * k)
+                for i in range(min(k, n - j - k))
+                if (i + j) // (2 * p) == (i + j + k) // (2 * p)
+            ]
+            if pairs:
+                yield pairs
+            k //= 2
+        p *= 2
+
+
 def test_batcher_pairs_sort_network_cleartext():
-    """The generated network must sort any input (checked directly)."""
-    for n in [2, 4, 8, 16, 32]:
+    """The generated network has Batcher's exact shape and must sort any
+    input (checked directly)."""
+    for k in range(1, 17):
+        n = 1 << k
+        layers = list(P._batcher_pairs(n))
+        assert len(layers) == k * (k + 1) // 2
+        assert sum(len(i_idx) for i_idx, _ in layers) == n * (k * k - k + 4) // 4 - 1
+        if n > 1 << 10:
+            continue
+        ref = list(_batcher_pairs_loop(n))
+        assert len(ref) == len(layers)
+        for (i_idx, j_idx), pairs in zip(layers, ref):
+            np.testing.assert_array_equal(np.column_stack([i_idx, j_idx]), pairs)
         g = np.random.default_rng(n)
         for _ in range(5):
             x = g.integers(0, 100, n)
-            for i_idx, j_idx in P._batcher_pairs(n):
+            for i_idx, j_idx in layers:
                 lo = np.minimum(x[i_idx], x[j_idx])
                 hi = np.maximum(x[i_idx], x[j_idx])
                 x[i_idx], x[j_idx] = lo, hi
             assert (np.diff(x) >= 0).all()
+
+
+def test_oblivious_sort_modelled_cost_is_pinned():
+    """The sort's metered cost on a fixed 1,000-row, 2-column relation
+    (padded to 1,024): 55 network layers of one comparison and one Beaver
+    multiplication per column, plus sharing the padding of each column."""
+    vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=3)
+    g = np.random.default_rng(1000)
+    rel = _share(vm, k=g.integers(0, 200, 1000), v=g.integers(-1000, 1000, 1000))
+    r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
+    out = P.oblivious_sort(vm, rel, "k")
+    assert vm.meter.rounds - r0 == 552
+    assert vm.meter.bytes_sent - b0 == 10_395_984
+    assert (np.diff(reveal_relation(vm, out)["k"].to_numpy()) >= 0).all()
+
+
+def test_protocols_leave_input_shares_unchanged(vm):
+    """Sort and scans update private copies in place, never their inputs."""
+    g = np.random.default_rng(4)
+    rel = _share(vm, k=g.integers(0, 9, 13), v=g.integers(0, 99, 13))
+    vals = vm.share(g.integers(0, 2, 13))
+    same = vm.share(g.integers(0, 2, 13))
+    inputs = [*rel.columns.values(), vals, same]
+    before = [[s.copy() for s in sv.shares] for sv in inputs]
+    P.oblivious_sort(vm, rel, "k")
+    P.segmented_scan_sum(vm, vals, same)
+    P.segmented_scan_or(vm, vals, same)
+    for sv, saved in zip(inputs, before):
+        for s, s0 in zip(sv.shares, saved):
+            np.testing.assert_array_equal(s, s0)
 
 
 # ------------------------------------------------------------------- scans

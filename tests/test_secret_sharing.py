@@ -79,6 +79,17 @@ def test_beaver_multiplication_correct(vm):
     np.testing.assert_array_equal(vm.reveal(vm.mul(av, bv)), a * b)
 
 
+def test_beaver_triple_masks_are_uniform(vm):
+    """The triple's a and b mask the opened d = x - a and e = y - b, so
+    they must be uniform over the whole ring, top bit included."""
+    a, b, c = vm._beaver_triple(10_000)
+    a_r, b_r = vm._reconstruct_ring(a), vm._reconstruct_ring(b)
+    np.testing.assert_array_equal(vm._reconstruct_ring(c), a_r * b_r)
+    for mask in (a_r, b_r):
+        top_bit = (mask >> np.uint64(63)).mean()
+        assert abs(top_bit - 0.5) < 0.03
+
+
 def test_beaver_multiplication_charges_communication(vm):
     av = vm.share(np.arange(1000, dtype=np.int64))
     r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
