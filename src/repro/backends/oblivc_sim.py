@@ -97,5 +97,9 @@ class OblivcBackend:
         pdf = out.pdf if not ascending else out.pdf.iloc[::-1].reset_index(drop=True)
         return GCRelation(pdf)
 
-    def limit(self, r: GCRelation, n: int) -> GCRelation:
-        return GCRelation(r.pdf.head(n).reset_index(drop=True))
+    def take(self, r: GCRelation, idx) -> GCRelation:
+        """Rows at public positions (an index array or a slice)."""
+        return GCRelation(r.pdf.iloc[idx].reset_index(drop=True))
+
+    def concat_columns(self, a: GCRelation, b: GCRelation) -> GCRelation:
+        return GCRelation(pd.concat([a.pdf, b.pdf], axis=1))

@@ -189,11 +189,11 @@ class SharemindBackend:
             dict(r.scales),
         )
 
-    def limit(self, r: SSRel, n: int) -> SSRel:
+    def take(self, r: SSRel, idx) -> SSRel:
+        """Rows at public positions (an index array or a slice, e.g. a
+        LIMIT): share-local, free."""
         return SSRel(
-            SharedRelation(
-                {c: self.vm.take(v, slice(0, n)) for c, v in r.rel.columns.items()}
-            ),
+            SharedRelation({c: self.vm.take(v, idx) for c, v in r.rel.columns.items()}),
             dict(r.scales),
         )
 
@@ -215,6 +215,31 @@ class SharemindBackend:
             ),
             dict(r.scales),
         )
+
+    def aggregate_stp_sorted(
+        self, r: SSRel, order: np.ndarray, same: np.ndarray, group: str,
+        agg_op: str, over: str | None, out_col: str,
+    ) -> SSRel:
+        """MPC half of the §5.3 hybrid aggregation. The STP sorted the
+        revealed ``group`` column in the clear: ``order`` lists the rows in
+        key order and ``same[i] = [row i has the key of row i-1]`` in that
+        order. The parties reorder their shares by ``order`` (public,
+        free), the STP shares its flags, a segmented scan accumulates each
+        group into its last row, and only the group ends are kept."""
+        reordered = self.reorder_public(r, order)
+        flags = self.vm.share(same)
+        val = self._masked_value(reordered, over, agg_op)
+        scale = reordered.scale_of(over) if (agg_op == "sum" and over) else 0
+        sums = P.segmented_scan_sum(self.vm, val, flags)
+        is_end = np.ones(len(same), dtype=np.int64)
+        is_end[:-1] = 1 - same[1:]
+        kept = P.keep_group_ends(
+            self.vm,
+            SharedRelation({group: reordered.rel.columns[group], out_col: sums}),
+            self.vm.share(is_end),
+            self.rng,
+        )
+        return SSRel(kept, {out_col: scale} if scale else {})
 
     def concat_columns(self, a: SSRel, b: SSRel) -> SSRel:
         cols = dict(a.rel.columns)

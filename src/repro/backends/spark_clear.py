@@ -25,6 +25,20 @@ _OPS = {
 }
 
 
+def spark_builder(app: str) -> SparkSession.Builder:
+    """A SparkSession builder with the session-level configs the tests
+    and the table jobs share: 64 shuffle partitions, Arrow for the
+    pandas boundary, and broadcast joins off, so that joins exercise the
+    shuffle path even at small scale (a query that wants a broadcast join
+    sets the threshold back for itself)."""
+    return (
+        SparkSession.builder.appName(app)
+        .config("spark.sql.shuffle.partitions", "64")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+    )
+
+
 def exec_clear_node(node: D.Node, inputs: list[DataFrame]) -> DataFrame:
     """Execute one operator on already-clear Spark DataFrames."""
     if isinstance(node, D.Concat):

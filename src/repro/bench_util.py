@@ -70,11 +70,3 @@ def format_table(title: str, points: list[Point]) -> str:
             f"{p.wall:>9.3f} {p.sim:>10.3f}"
         )
     return "\n".join(lines)
-
-
-def points_to_markdown(points: list[Point]) -> str:
-    lines = ["| system | n | seconds | status |", "|---|---|---|---|"]
-    for p in points:
-        sec = f"{p.seconds:.2f}" if p.seconds is not None else "—"
-        lines.append(f"| {p.system} | {p.n:,} | {sec} | {p.status} |")
-    return "\n".join(lines)

@@ -26,6 +26,7 @@ import pandas as pd
 
 from .accounting import GC_LABEL_BYTES, Meter
 from .circuits import gate_counts
+from .shared_rel import integer_columns
 
 WIRE_BYTES = 4 * GC_LABEL_BYTES
 #: Bytes moved per evaluator input bit (oblivious transfer, ~3 labels).
@@ -78,7 +79,7 @@ class GCBackend:
     def input_relation(self, pdf: pd.DataFrame) -> GCRelation:
         """Encode a cleartext relation into wire labels (garbler side) /
         receive labels via OT (evaluator side)."""
-        pdf = pdf.reset_index(drop=True).astype(np.int64)
+        pdf = pd.DataFrame(integer_columns(pdf))
         bits = self._bits(len(pdf), len(pdf.columns))
         self._charge_live("gc input staging", bits * 3)
         self.meter.charge_comm(rounds=1, bytes_sent=bits * OT_BYTES_PER_BIT)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import pandas as pd
 
 from .secret_sharing import SecretSharingVM, SharedVector, _from_ring
 from .shared_rel import SharedRelation
@@ -200,25 +199,25 @@ def aggregate_sum_by_key(
         next_same = vm.share(np.zeros(1, np.int64))
     one = vm.share(np.ones(n, np.int64))
     is_end = vm.sub(one, next_same)
-    staged = SharedRelation(
-        {key: work.columns[key], value: sums, "__end": is_end}
-    )
-    shuffled, _ = oblivious_shuffle(vm, staged, rng)
-    flags = vm.reveal(shuffled.columns["__end"])
-    keep = np.nonzero(flags == 1)[0]
-    return SharedRelation(
-        {
-            key: vm.take(shuffled.columns[key], keep),
-            value: vm.take(shuffled.columns[value], keep),
-        }
+    return keep_group_ends(
+        vm, SharedRelation({key: work.columns[key], value: sums}), is_end, rng
     )
 
 
-def aggregate_sum_total(
-    vm: SecretSharingVM, rel: SharedRelation, value: str
+def keep_group_ends(
+    vm: SecretSharingVM,
+    rel: SharedRelation,
+    is_end: SharedVector,
+    rng: np.random.Generator,
 ) -> SharedRelation:
-    """Ungrouped SUM — share-local additions, no communication."""
-    return SharedRelation({value: vm.sum(rel.columns[value])})
+    """The tail of sort-based aggregation: shuffle ``rel`` together with
+    its shared group-end flags, reveal the shuffled flags and keep the
+    rows they mark. The shuffle hides which sorted positions ended a
+    group, so only the number of groups leaks."""
+    staged = SharedRelation({**rel.columns, "__end": is_end})
+    shuffled, _ = oblivious_shuffle(vm, staged, rng)
+    keep = np.nonzero(vm.reveal(shuffled.columns["__end"]) == 1)[0]
+    return SharedRelation({c: vm.take(shuffled.columns[c], keep) for c in rel.columns})
 
 
 # -------------------------------------------------------------------- join
@@ -280,15 +279,6 @@ def filter_eq_flags(
     return vm.eq(col, const)
 
 
-def apply_filter_oblivious(
-    vm: SecretSharingVM, rel: SharedRelation, flags: SharedVector
-) -> SharedRelation:
-    """Zero out non-matching rows (size-preserving oblivious filter)."""
-    return SharedRelation(
-        {n: vm.mul(v, flags) for n, v in rel.columns.items()}
-    )
-
-
 # ----------------------------------------------------------- distinct count
 def distinct_count_sorted(
     vm: SecretSharingVM,
@@ -321,19 +311,3 @@ def distinct_count_sorted(
     one = vm.share(np.ones(n, np.int64))
     contrib = vm.mul(mask, vm.sub(one, seen_before))
     return vm.sum(contrib)
-
-
-# ------------------------------------------------------------------- limit
-def top_k_by(
-    vm: SecretSharingVM,
-    rel: SharedRelation,
-    key: str,
-    k: int,
-) -> SharedRelation:
-    """ORDER BY key DESC LIMIT k under MPC: oblivious sort descending,
-    then take the first k rows (positions are public)."""
-    sorted_rel = oblivious_sort(vm, rel, key, descending=True)
-    k = min(k, sorted_rel.n_rows)
-    return SharedRelation(
-        {n: vm.take(v, slice(0, k)) for n, v in sorted_rel.columns.items()}
-    )

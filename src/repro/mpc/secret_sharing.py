@@ -158,17 +158,6 @@ class SecretSharingVM:
             tuple(np.array([s.sum(dtype=_DTYPE)], dtype=_DTYPE) for s in a.shares)
         )
 
-    def segment_sum(self, a: SharedVector, segment_ids: np.ndarray) -> SharedVector:
-        """Share-local segmented sum by *public* segment ids (used when row
-        grouping is public, e.g. after a hybrid aggregation's clear sort)."""
-        n_seg = int(segment_ids.max()) + 1 if len(segment_ids) else 0
-        out = []
-        for s in a.shares:
-            acc = np.zeros(n_seg, dtype=_DTYPE)
-            np.add.at(acc, segment_ids, s)
-            out.append(acc)
-        return SharedVector(tuple(out))
-
     # -------------------------------------------------------- Beaver triples
     def _beaver_triple(self, n: int) -> tuple[SharedVector, SharedVector, SharedVector]:
         """Trusted-dealer triple generation (semi-honest preprocessing)."""
@@ -227,21 +216,6 @@ class SecretSharingVM:
         return self._abb(
             (av == bv).astype(np.int64),
             rounds=_CMP_ROUNDS, words_per_elem=_CMP_WORDS_PER_ELEM, n_elems=len(a),
-        )
-
-    def eq_outer(self, a: SharedVector, b: SharedVector) -> SharedVector:
-        """All-pairs equality [a_i == b_j], flattened row-major (len(a)·len(b)).
-
-        This is the quadratic kernel of the Cartesian-product MPC join; the
-        communication charge is what makes the MPC join O(n²)."""
-        av = self._reconstruct_ring(a)
-        bv = self._reconstruct_ring(b)
-        flags = (av[:, None] == bv[None, :]).astype(np.int64).ravel()
-        return self._abb(
-            flags,
-            rounds=_CMP_ROUNDS,
-            words_per_elem=_CMP_WORDS_PER_ELEM,
-            n_elems=len(av) * len(bv),
         )
 
     def div_fixed(self, num: SharedVector, den: SharedVector, scale: int) -> SharedVector:

@@ -43,30 +43,30 @@ class SharedRelation:
         )
 
 
-def share_dataframe(vm: SecretSharingVM, pdf: pd.DataFrame) -> SharedRelation:
-    """inputToMPC: secret-share every column of a cleartext pandas frame.
+def integer_columns(pdf: pd.DataFrame) -> dict[str, np.ndarray]:
+    """inputToMPC's type gate: every column of a cleartext pandas frame as
+    an int64 array.
 
     All MPC-resident columns must be integral (the compiler guarantees
-    this: money is cents, codes are int-encoded).
+    this: money is cents, codes are int-encoded); a fractional column
+    raises ``TypeError`` instead of being truncated.
     """
-    cols: dict[str, SharedVector] = {}
+    cols: dict[str, np.ndarray] = {}
     for name in pdf.columns:
         vals = pdf[name].to_numpy()
         if not np.issubdtype(vals.dtype, np.integer):
             raise TypeError(
                 f"MPC column {name!r} must be integer, got {vals.dtype}"
             )
-        cols[name] = vm.share(vals.astype(np.int64))
-    return SharedRelation(cols)
+        cols[name] = vals.astype(np.int64)
+    return cols
+
+
+def share_dataframe(vm: SecretSharingVM, pdf: pd.DataFrame) -> SharedRelation:
+    """inputToMPC: secret-share every column of a cleartext pandas frame."""
+    return SharedRelation({n: vm.share(v) for n, v in integer_columns(pdf).items()})
 
 
 def reveal_relation(vm: SecretSharingVM, rel: SharedRelation) -> pd.DataFrame:
     """Open every column of a shared relation to all parties."""
     return pd.DataFrame({n: vm.reveal(v) for n, v in rel.columns.items()})
-
-
-def reveal_relation_to(
-    vm: SecretSharingVM, rel: SharedRelation, party
-) -> pd.DataFrame:
-    """Open every column of a shared relation to one party (e.g. the STP)."""
-    return pd.DataFrame({n: vm.reveal_to(v, party) for n, v in rel.columns.items()})

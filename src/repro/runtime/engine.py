@@ -12,43 +12,41 @@ paper's deployment model:
   state, entered via ``inputToMPC`` (``DataFrame.toPandas`` → share) and
   left via ``revealTo`` (reveal → ``spark.createDataFrame``);
 * ``("hybrid", stp)`` nodes execute the §5.3 hybrid join / hybrid
-  aggregation protocols, with the STP's cleartext steps in Spark;
+  aggregation, with the STP's cleartext steps in Spark;
 * ``("public", party)`` nodes execute the public join: key columns move
   in the clear, only matching rows re-enter MPC (or, when nothing
   downstream needs MPC, the result is assembled in the clear).
+
+The engine only dispatches. A value is either a :class:`ClearVal` or an
+opaque backend value, which it passes to the backend's public methods
+(``input_rel``, ``reveal``, the relational operators, ``take`` and the
+hybrid operators' MPC steps) and never looks inside. The STP's Spark steps and
+the clear transfers run here, between backend calls.
 
 All MPC/communication work is charged to one :class:`Meter`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from ..backends.oblivc_sim import OblivcBackend
-from ..backends.sharemind_sim import MASK, SharemindBackend, SSRel
+from ..backends.sharemind_sim import SharemindBackend
 from ..backends.spark_clear import exec_clear_node
 from ..core import dag as D
 from ..core.compiler import Plan
-from ..mpc import protocols as P
 from ..mpc.accounting import Meter
 from ..mpc.secret_sharing import SecretSharingVM
-from ..mpc.shared_rel import SharedRelation
 
 
 @dataclass
 class ClearVal:
-    """A relation held in the clear at one party (a Spark DataFrame)."""
-
-    party: str
-    df: DataFrame
-
-
-@dataclass
-class PartVal:
-    """A relation partitioned across parties, each part in the clear."""
+    """A relation in the clear, one Spark DataFrame per party holding a
+    part of it (a single entry unless it is a partitioned concat)."""
 
     parts: dict[str, DataFrame]
 
@@ -70,12 +68,9 @@ class Engine:
         self.meter = meter if meter is not None else Meter()
         self.rng = np.random.default_rng(seed)
         if backend == "sharemind":
-            self.vm = SecretSharingVM(
-                n_parties=len(parties), meter=self.meter, seed=seed
-            )
-            self.backend = SharemindBackend(self.vm, self.rng)
+            vm = SecretSharingVM(n_parties=len(parties), meter=self.meter, seed=seed)
+            self.backend = SharemindBackend(vm, self.rng)
         elif backend == "oblivc":
-            self.vm = None
             self.backend = OblivcBackend(self.meter)
         else:  # pragma: no cover
             raise ValueError(backend)
@@ -93,44 +88,35 @@ class Engine:
         self.meter.charge_comm(rounds=1, bytes_sent=float(n_rows) * n_cols * 8)
 
     def _ensure_mpc(self, val):
-        """inputToMPC: secret-share a clear (or partitioned) relation."""
-        if isinstance(val, ClearVal):
-            pdf = val.df.toPandas()
-            return self.backend.input_rel(pdf.astype(np.int64))
-        if isinstance(val, PartVal):
-            shared = [
-                self.backend.input_rel(df.toPandas().astype(np.int64))
-                for _, df in sorted(val.parts.items())
-            ]
-            return self.backend.concat(shared)
-        return val
-
-    def _reveal_to(self, val, party: str) -> ClearVal:
-        """revealTo: open an MPC value at one party as a Spark DataFrame."""
-        pdf = self.backend.reveal(val)
-        return ClearVal(party, self._to_spark(pdf))
+        """inputToMPC: secret-share each part of a clear relation."""
+        if not isinstance(val, ClearVal):
+            return val
+        shared = [
+            self.backend.input_rel(df.toPandas()) for _, df in sorted(val.parts.items())
+        ]
+        return shared[0] if len(shared) == 1 else self.backend.concat(shared)
 
     def _as_clear_at(self, val, party: str) -> DataFrame:
-        if isinstance(val, ClearVal):
-            if val.party != party:
-                self._charge_transfer(val.df.count(), len(val.df.columns))
-            return val.df
-        if isinstance(val, PartVal):
-            from functools import reduce
-
-            return reduce(DataFrame.unionByName, val.parts.values())
-        return self._reveal_to(val, party).df
-
-    def _as_parts(self, val) -> dict[str, DataFrame]:
-        if isinstance(val, PartVal):
-            return val.parts
-        if isinstance(val, ClearVal):
-            return {val.party: val.df}
-        raise TypeError("expected a cleartext relation")
+        """The relation as one DataFrame at ``party``: parts held elsewhere
+        are shipped there, a backend value is revealed (revealTo)."""
+        if not isinstance(val, ClearVal):
+            return self._to_spark(self.backend.reveal(val))
+        for p, df in val.parts.items():
+            if p != party:
+                self._charge_transfer(df.count(), len(df.columns))
+        return reduce(DataFrame.unionByName, val.parts.values())
 
     @staticmethod
-    def _downstream_has_mpc(dag: D.Dag, node: D.Node) -> bool:
-        cons = dag.consumers()
+    def _concat_clear(pvals: list[ClearVal]) -> ClearVal:
+        """Concat that leaves each party's rows where they are."""
+        parts: dict[str, DataFrame] = {}
+        for v in pvals:
+            for p, df in v.parts.items():
+                parts[p] = parts[p].unionByName(df) if p in parts else df
+        return ClearVal(parts)
+
+    @staticmethod
+    def _downstream_has_mpc(cons: dict[int, list[D.Node]], node: D.Node) -> bool:
         stack, seen = list(cons.get(id(node), [])), set()
         while stack:
             n = stack.pop()
@@ -147,113 +133,82 @@ class Engine:
         """Execute the plan; returns the recipient's result DataFrame."""
         self.meter.restart_wall()
         dag = plan.dag
+        cons = dag.consumers()
         values: dict[int, object] = {}
         for n in dag.topo_order():
-            values[id(n)] = self._exec_node(dag, n, inputs, values)
-        out = values[id(dag.outputs[0])]
-        assert isinstance(out, ClearVal)
-        return out.df
+            pvals = [values[id(p)] for p in n.parents]
+            values[id(n)] = self._exec_node(n, pvals, inputs, cons)
+        (out,) = values[id(dag.outputs[0])].parts.values()
+        return out
 
     # ----------------------------------------------------------- dispatch
-    def _exec_node(self, dag, n: D.Node, inputs, values):
-        pvals = [values[id(p)] for p in n.parents]
+    def _exec_node(self, n: D.Node, pvals, inputs, cons):
         if isinstance(n, D.Input):
-            df = inputs[n.name]
-            return ClearVal(n.party.name, df.select(*n.out_cols))
+            return ClearVal({n.party.name: inputs[n.name].select(*n.out_cols)})
         if isinstance(n, D.Output):
             party = n.recipients[0].name
-            df = self._as_clear_at(pvals[0], party)
-            return ClearVal(party, df)
+            return ClearVal({party: self._as_clear_at(pvals[0], party)})
         site = n.site
         assert site is not None, f"uncompiled node {n.name}"
-        if isinstance(n, D.Concat) and site == ("mpc",):
-            # a concat feeding a public join must stay partitioned in the
+        if isinstance(n, D.Concat) and (
+            site[0] == "clear"
+            # a concat feeding a public join stays partitioned in the
             # clear — the public join shares only the matching rows
-            cons = dag.consumers().get(id(n), [])
-            if cons and any(isinstance(c, D.PublicJoin) for c in cons):
-                parts: dict[str, DataFrame] = {}
-                for v in pvals:
-                    for p, df in self._as_parts(v).items():
-                        parts[p] = df if p not in parts else parts[p].unionByName(df)
-                return PartVal(parts)
+            or any(isinstance(c, D.PublicJoin) for c in cons.get(id(n), []))
+        ):
+            return self._concat_clear(pvals)
         if site[0] == "clear":
-            return self._exec_clear(dag, n, site[1], pvals)
+            dfs = [self._as_clear_at(v, site[1]) for v in pvals]
+            return ClearVal({site[1]: exec_clear_node(n, dfs)})
         if site[0] == "public":
-            return self._exec_public_join(dag, n, pvals)
+            return self._exec_public_join(n, pvals, cons)
         if site[0] == "hybrid":
+            if not isinstance(self.backend, SharemindBackend):
+                raise NotImplementedError(
+                    "hybrid operators need the secret-sharing backend"
+                )
             if isinstance(n, D.HybridJoin):
                 return self._exec_hybrid_join(n, pvals)
             return self._exec_hybrid_agg(n, pvals)
         return self._exec_mpc(n, pvals)
 
-    # ------------------------------------------------------------- clear
-    def _exec_clear(self, dag, n: D.Node, party: str, pvals):
-        if isinstance(n, D.Concat) and not self._downstream_has_mpc(dag, n):
-            # all-clear concat (insecure sub-plans only)
-            dfs = [self._as_clear_at(v, party) for v in pvals]
-            from functools import reduce
-
-            return ClearVal(party, reduce(DataFrame.unionByName, dfs))
-        if isinstance(n, D.Concat):
-            # partitioned relation staying distributed until the MPC entry
-            parts: dict[str, DataFrame] = {}
-            for v in pvals:
-                for p, df in self._as_parts(v).items():
-                    parts[p] = df if p not in parts else parts[p].unionByName(df)
-            return PartVal(parts)
-        dfs = [self._as_clear_at(v, party) for v in pvals]
-        return ClearVal(party, exec_clear_node(n, dfs))
-
     # --------------------------------------------------------------- mpc
     def _exec_mpc(self, n: D.Node, pvals):
         be = self.backend
         if isinstance(n, D.Concat):
-            rels = []
-            for v in pvals:
-                if isinstance(v, (ClearVal, PartVal)):
-                    rels.append(self._ensure_mpc(v))
-                else:
-                    rels.append(v)
-            return be.concat(rels)
+            return be.concat([self._ensure_mpc(v) for v in pvals])
+        rel = self._ensure_mpc(pvals[0])
         if isinstance(n, D.Project):
-            return be.project(self._ensure_mpc(pvals[0]), n.cols)
+            return be.project(rel, n.cols)
         if isinstance(n, D.Filter):
             if n.op != "==":
                 raise NotImplementedError(f"MPC filter op {n.op}")
-            return be.filter_eq(self._ensure_mpc(pvals[0]), n.col, n.value)
+            return be.filter_eq(rel, n.col, n.value)
         if isinstance(n, D.Arith):
-            return be.arith(
-                self._ensure_mpc(pvals[0]), n.out_col, n.left, n.op, n.right
-            )
+            return be.arith(rel, n.out_col, n.left, n.op, n.right)
         if isinstance(n, D.Aggregate):
             return be.aggregate(
-                self._ensure_mpc(pvals[0]), n.group_cols, n.agg_op, n.over,
-                n.out_col, input_sorted=n.input_sorted,
-            )
-        if isinstance(n, D.Join):
-            return be.join(
-                self._ensure_mpc(pvals[0]), self._ensure_mpc(pvals[1]),
-                n.left_key, n.right_key,
-            )
-        if isinstance(n, D.DistinctCount):
-            return be.distinct_count(
-                self._ensure_mpc(pvals[0]), n.col, n.out_col,
+                rel, n.group_cols, n.agg_op, n.over, n.out_col,
                 input_sorted=n.input_sorted,
             )
+        if isinstance(n, D.Join):
+            return be.join(rel, self._ensure_mpc(pvals[1]), n.left_key, n.right_key)
+        if isinstance(n, D.DistinctCount):
+            return be.distinct_count(rel, n.col, n.out_col, input_sorted=n.input_sorted)
         if isinstance(n, D.SortBy):
-            return be.sort_by(self._ensure_mpc(pvals[0]), n.col, n.ascending)
+            return be.sort_by(rel, n.col, n.ascending)
         if isinstance(n, D.Limit):
-            return be.limit(self._ensure_mpc(pvals[0]), n.n)
+            return be.take(rel, slice(0, n.n))
         raise NotImplementedError(type(n))  # pragma: no cover
 
     # ------------------------------------------------------- public join
-    def _exec_public_join(self, dag, n: D.PublicJoin, pvals):
+    def _exec_public_join(self, n: D.PublicJoin, pvals, cons):
         """§5.3 public join. Key columns are public: they travel in the
         clear to ``n.at``, which computes matching row-id pairs with a
         Spark join. Only matching rows then re-enter MPC (or, with no MPC
         downstream, the result is assembled in the clear)."""
-        parts_l = {p: df.toPandas() for p, df in sorted(self._as_parts(pvals[0]).items())}
-        parts_r = {p: df.toPandas() for p, df in sorted(self._as_parts(pvals[1]).items())}
+        parts_l = {p: df.toPandas() for p, df in sorted(pvals[0].parts.items())}
+        parts_r = {p: df.toPandas() for p, df in sorted(pvals[1].parts.items())}
 
         def keys_frame(parts: dict[str, pd.DataFrame], key: str):
             frames, offset = [], 0
@@ -283,13 +238,11 @@ class Engine:
         # index pairs go back to every party
         self._charge_transfer(len(pairs) * len(self.parties), 2)
 
-        if not self._downstream_has_mpc(dag, n):
+        if not self._downstream_has_mpc(cons, n):
             # assemble the join result in the clear at `n.at` (reaches
             # the recipient anyway; §7.2 "public join avoids MPC")
             lfull = pd.concat(parts_l.values(), ignore_index=True)
-            rfull = pd.concat(
-                [p.drop(columns=[]) for p in parts_r.values()], ignore_index=True
-            )
+            rfull = pd.concat(parts_r.values(), ignore_index=True)
             self._charge_transfer(len(lfull), len(lfull.columns))
             self._charge_transfer(len(rfull), len(rfull.columns))
             left_sel = lfull.iloc[pairs["lgid"].to_numpy()].reset_index(drop=True)
@@ -299,7 +252,7 @@ class Engine:
                 .reset_index(drop=True)
             )
             out = pd.concat([left_sel, right_sel], axis=1)
-            return ClearVal(n.at, self._to_spark(out[n.out_cols]))
+            return ClearVal({n.at: self._to_spark(out[n.out_cols])})
 
         # share only the matching rows of each partition into MPC
         def matched_shared(parts, gids: np.ndarray, drop_col: str | None):
@@ -312,7 +265,7 @@ class Engine:
                 if drop_col is not None and drop_col in rows.columns:
                     rows = rows.drop(columns=[drop_col])
                 if len(rows):
-                    shared.append(self.backend.input_rel(rows.astype(np.int64)))
+                    shared.append(self.backend.input_rel(rows))
                 offset += len(pdf)
             if not shared:
                 empty = pd.DataFrame(
@@ -329,21 +282,9 @@ class Engine:
         li = np.array([lpos[g] for g in pairs["lgid"]], dtype=np.int64)
         ri = np.array([rpos[g] for g in pairs["rgid"]], dtype=np.int64)
         # public indices: selection is share-local (free)
-        left_sel = self._take_public(left_shared, li)
-        right_sel = self._take_public(right_shared, ri)
-        return self.backend.concat_columns(left_sel, right_sel)
-
-    def _take_public(self, rel, idx: np.ndarray):
-        if isinstance(rel, SSRel):
-            return SSRel(
-                SharedRelation(
-                    {c: self.vm.take(v, idx) for c, v in rel.rel.columns.items()}
-                ),
-                dict(rel.scales),
-            )
-        from ..mpc.gc_backend import GCRelation
-
-        return GCRelation(rel.pdf.iloc[idx].reset_index(drop=True))
+        return self.backend.concat_columns(
+            self.backend.take(left_shared, li), self.backend.take(right_shared, ri)
+        )
 
     # ------------------------------------------------------- hybrid join
     def _exec_hybrid_join(self, n: D.HybridJoin, pvals):
@@ -351,8 +292,6 @@ class Engine:
         revealed to the STP, clear join + enumeration at the STP (in
         Spark), oblivious indexing to rebuild the result under MPC."""
         be = self.backend
-        if not isinstance(be, SharemindBackend):
-            raise NotImplementedError("hybrid operators need the secret-sharing backend")
         left = be.shuffle(self._ensure_mpc(pvals[0]))
         right = be.shuffle(self._ensure_mpc(pvals[1]))
         # reveal key-only projections to the STP
@@ -368,23 +307,16 @@ class Engine:
         self._charge_transfer(len(li) + len(ri), 1)
         # oblivious indexing back under MPC
         left_rows = be.select_rows(left, li)
-        right_rows = be.select_rows(
-            be.project(right, [c for c in right.rel.column_names
-                               if c not in (n.right_key, MASK)]),
-            ri,
-        )
-        res = be.concat_columns(left_rows, right_rows)
-        return be.shuffle(res)
+        right_cols = [c for c in n.parents[1].out_cols if c != n.right_key]
+        right_rows = be.select_rows(be.project(right, right_cols), ri)
+        return be.shuffle(be.concat_columns(left_rows, right_rows))
 
     # ------------------------------------------------ hybrid aggregation
     def _exec_hybrid_agg(self, n: D.HybridAggregate, pvals):
         """§5.3 hybrid aggregation: shuffle, reveal the group-by column
-        to the STP, clear sort at the STP (Spark), public reorder,
-        oblivious accumulation with STP-shared equality flags, shuffle +
-        flag reveal to drop non-group-end rows."""
+        to the STP, clear sort at the STP (Spark), then the backend's
+        oblivious accumulation over the STP's order and equality flags."""
         be = self.backend
-        if not isinstance(be, SharemindBackend):
-            raise NotImplementedError("hybrid operators need the secret-sharing backend")
         rel = be.shuffle(self._ensure_mpc(pvals[0]))
         group = n.group_cols[0]
         keys = be.reveal_col_to(rel, group, n.stp)
@@ -395,43 +327,10 @@ class Engine:
         ordered = kdf.orderBy("k", "idx").toPandas()
         order = ordered["idx"].to_numpy().astype(np.int64)
         sorted_keys = ordered["k"].to_numpy()
-        eq = np.zeros(len(keys), dtype=np.int64)
-        if len(keys) > 1:
-            eq[1:] = (sorted_keys[1:] == sorted_keys[:-1]).astype(np.int64)
+        same = np.zeros(len(keys), dtype=np.int64)
+        same[1:] = sorted_keys[1:] == sorted_keys[:-1]
         # indexes travel in the clear; parties reorder locally (free)
         self._charge_transfer(len(order) * len(self.parties), 1)
-        reordered = be.reorder_public(rel, order)
-        # STP secret-shares the equality flags
-        same = self.vm.share(eq)
-        val = be._masked_value(reordered, n.over, n.agg_op)
-        scale = reordered.scale_of(n.over) if (n.agg_op == D.SUM and n.over) else 0
-        sums = P.segmented_scan_sum(self.vm, val, same)
-        nrows = len(eq)
-        is_end = np.ones(nrows, dtype=np.int64)
-        is_end[: nrows - 1] = 1 - eq[1:]
-        staged = SSRel(
-            SharedRelation(
-                {
-                    group: reordered.rel.columns[group],
-                    n.out_col: sums,
-                    "__end": self.vm.share(is_end),
-                }
-            ),
-            {n.out_col: scale} if scale else {},
+        return be.aggregate_stp_sorted(
+            rel, order, same, group, n.agg_op, n.over, n.out_col
         )
-        shuffled = be.shuffle(staged)
-        flags = self.vm.reveal(shuffled.rel.columns["__end"])
-        keep = np.nonzero(flags == 1)[0]
-        kept = self._take_public(
-            SSRel(
-                SharedRelation(
-                    {
-                        group: shuffled.rel.columns[group],
-                        n.out_col: shuffled.rel.columns[n.out_col],
-                    }
-                ),
-                shuffled.scales,
-            ),
-            keep,
-        )
-        return kept

@@ -11,16 +11,14 @@ import importlib
 
 from pyspark.sql import SparkSession
 
+from ..backends.spark_clear import spark_builder
 from ..bench_util import format_table
 
 
 def make_spark(app: str) -> SparkSession:
     return (
-        SparkSession.builder.appName(app)
+        spark_builder(app)
         .config("spark.driver.memory", "8g")
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
         .getOrCreate()

@@ -39,6 +39,7 @@ def test_filter_masks_and_reveal_drops_rows(be):
     r = be.input_rel(_pdf(a=[1, 2, 1], b=[10, 20, 30]))
     f = be.filter_eq(r, "a", 1)
     assert f.has_mask
+    np.testing.assert_array_equal(be.vm.reveal(f.rel.columns[MASK]), [1, 0, 1])
     out = be.reveal(f)
     np.testing.assert_array_equal(out["b"], [10, 30])
 
@@ -131,9 +132,13 @@ def test_distinct_count_paths(be, presorted):
 def test_sort_and_limit(be):
     r = be.input_rel(_pdf(k=[3, 1, 2], v=[30, 10, 20]))
     s = be.sort_by(r, "k", ascending=True)
-    out = be.reveal(be.limit(s, 2))
+    out = be.reveal(be.take(s, slice(0, 2)))
     np.testing.assert_array_equal(out["k"], [1, 2])
     np.testing.assert_array_equal(out["v"], [10, 20])
+    # descending, with a limit larger than the relation
+    out = be.reveal(be.take(be.sort_by(r, "k", ascending=False), slice(0, 10)))
+    np.testing.assert_array_equal(out["k"], [3, 2, 1])
+    np.testing.assert_array_equal(out["v"], [30, 20, 10])
 
 
 def test_shuffle_reorder_select(be):
@@ -194,7 +199,7 @@ def test_gc_adapter_scalar_sum(gc):
 
 def test_gc_adapter_sort_and_limit(gc):
     r = gc.input_rel(_pdf(k=[1, 3, 2]))
-    out = gc.limit(gc.sort_by(r, "k", ascending=False), 2)
+    out = gc.take(gc.sort_by(r, "k", ascending=False), slice(0, 2))
     np.testing.assert_array_equal(out.pdf["k"], [3, 2])
 
 

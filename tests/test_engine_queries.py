@@ -9,7 +9,10 @@ import pytest
 
 import duckdb
 
+from repro.core import dag as D
+from repro.core.columns import Column, Party
 from repro.core.compiler import CompileOptions, compile_query
+from repro.core.lang import concat, newTable
 from repro.oracle import assert_equivalent
 from repro.queries import aspirin, comorbidity, credit_card, market_concentration
 from repro.queries.base import gen_to_spark
@@ -109,8 +112,6 @@ def _check_credit(spark, gen, **copts):
 def test_credit_card_hybrid_end_to_end(spark):
     gen = credit_card.gen_inputs(n_holders=300)
     plan, eng = _check_credit(spark, gen)
-    from repro.core import dag as D
-
     assert plan.dag.nodes_of_type(D.HybridJoin)  # ran the hybrid path
 
 
@@ -119,8 +120,6 @@ def test_credit_card_pure_mpc_same_result(spark):
     plan, eng = _check_credit(
         spark, gen, enable_hybrid=False, enable_public_join=False
     )
-    from repro.core import dag as D
-
     assert not plan.dag.nodes_of_type(D.HybridJoin)
 
 
@@ -140,6 +139,15 @@ def test_credit_hybrid_cheaper_than_mpc(spark):
         eng.run(plan, gen_to_spark(spark, gen))
         costs[hybrid] = eng.meter.bytes_sent
     assert costs[True] < costs[False] / 5  # O(n log n) vs O(n^2)
+
+
+def test_credit_card_hybrid_cost_is_pinned(spark):
+    """Exact modelled cost of the hybrid join and the two hybrid
+    aggregations at a fixed size and the default engine seed."""
+    plan, eng = _check_credit(spark, credit_card.gen_inputs(n_holders=200))
+    assert plan.dag.nodes_of_type(D.HybridJoin)
+    assert len(plan.dag.nodes_of_type(D.HybridAggregate)) == 2
+    assert (eng.meter.rounds, eng.meter.bytes_sent) == (189, 1278430.1165310242)
 
 
 # ------------------------------------------------------------- aspirin
@@ -190,6 +198,17 @@ def test_aspirin_public_join_only_shares_overlap(spark):
     assert byts["small"] < byts["big"] / 1.5
 
 
+def test_aspirin_public_join_cost_is_pinned(spark):
+    """Exact modelled cost of the public join (and the sort-eliminated
+    distinct count behind it) at a fixed size and the default engine
+    seed."""
+    gen = aspirin.gen_inputs(n_per_party=200, overlap_frac=0.1)
+    spec, plan, eng, df = _run(spark, aspirin, gen)
+    assert_equivalent(df, spec.oracle_sql, **gen)
+    assert plan.dag.nodes_of_type(D.PublicJoin)
+    assert (eng.meter.rounds, eng.meter.bytes_sent) == (68, 486280.0)
+
+
 # ---------------------------------------------------------- comorbidity
 def test_comorbidity_end_to_end(spark):
     gen = comorbidity.gen_inputs(n_per_party=500, distinct_key_frac=0.05)
@@ -219,6 +238,22 @@ def test_comorbidity_small_key_space(spark):
 def test_engine_rejects_unknown_backend(spark):
     with pytest.raises(ValueError):
         Engine(spark, ["a", "b"], backend="sgx")
+
+
+@pytest.mark.parametrize("backend", ["sharemind", "oblivc"])
+def test_fractional_values_entering_mpc_raise(spark, backend):
+    """inputToMPC must not truncate: 3/2 + 3/2 would come out as 2."""
+    pa, pb = Party("a"), Party("b")
+    t = concat([
+        newTable([Column("v")], at=pa, name="ta"),
+        newTable([Column("v")], at=pb, name="tb"),
+    ])
+    out = t.divide("h", "v", by=2).aggregate("s", D.SUM, over="h").collect(to=[pa])
+    plan = compile_query(out, CompileOptions(parties=[pa, pb]))
+    data = {n: spark.createDataFrame(pd.DataFrame({"v": [3]})) for n in ("ta", "tb")}
+    eng = Engine(spark, ["a", "b"], backend=backend)
+    with pytest.raises(TypeError):
+        eng.run(plan, data)
 
 
 def test_engine_meter_accumulates(spark):

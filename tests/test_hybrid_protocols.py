@@ -180,8 +180,36 @@ def test_hybrid_agg_stp_sees_only_group_column(spark, monkeypatch):
 
 
 def test_hybrid_ops_require_secret_sharing_backend(spark):
-    plan, parties = _join_plan("hybrid")
-    data, *_ = _data(spark, seed=5)
-    eng = Engine(spark, [p.name for p in parties], backend="oblivc")
-    with pytest.raises(NotImplementedError):
-        eng.run(plan, data)
+    g = np.random.default_rng(5)
+    agg_df = lambda: spark.createDataFrame(  # noqa: E731
+        pd.DataFrame({"k": g.integers(0, 5, 20), "v": g.integers(0, 9, 20)})
+    )
+    cases = [
+        (_join_plan("hybrid"), _data(spark, seed=5)[0]),
+        (_agg_plan("hybrid"), {"ga": agg_df(), "gb": agg_df()}),
+    ]
+    for (plan, parties), data in cases:
+        eng = Engine(spark, [p.name for p in parties], backend="oblivc")
+        with pytest.raises(NotImplementedError):
+            eng.run(plan, data)
+
+
+def test_public_join_into_mpc_same_answer_on_both_backends(spark):
+    """A public join with MPC downstream shares only the matching rows
+    and pairs them up inside the backend, on either backend."""
+    pa, pb = Party("a"), Party("b")
+    left = newTable([Column("k", public=True), Column("v")], at=pa, name="jl")
+    right = newTable([Column("k", public=True), Column("w")], at=pb, name="jr")
+    out = (
+        left.join(right, left="k", right="k")
+        .aggregate("s", D.SUM, over="w")
+        .collect(to=[pa])
+    )
+    plan = compile_query(out, CompileOptions(parties=[pa, pb]))
+    assert plan.dag.nodes_of_type(D.PublicJoin)
+    data, jl, jr = _data(spark, seed=6)
+    got = {}
+    for backend in ("sharemind", "oblivc"):
+        eng = Engine(spark, ["a", "b"], backend=backend)
+        got[backend] = eng.run(plan, data).toPandas()["s"].iloc[0]
+    assert got["sharemind"] == got["oblivc"] == jl.merge(jr, on="k")["w"].sum()

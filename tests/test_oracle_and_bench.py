@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.bench_util import Point, format_table, points_to_markdown, run_point
+from repro.bench_util import format_table, run_point
 from repro.mpc.accounting import Meter, SimulatedOOM
 from repro.oracle import assert_equivalent
 
@@ -60,6 +60,8 @@ def test_run_point_oom():
 
     p = run_point("sys", 10, fn)
     assert p.status == "oom" and p.seconds is None
+    txt = format_table("title", [p])
+    assert "title" in txt and "sys" in txt and "oom" in txt
 
 
 def test_run_point_dnf():
@@ -70,14 +72,3 @@ def test_run_point_dnf():
 
     p = run_point("sys", 10, fn, dnf_seconds=3600)
     assert p.status == "dnf" and p.seconds > 3600
-
-
-def test_format_table_and_markdown():
-    pts = [
-        Point("a", 100, 1.5, "ok", wall=1.0, sim=0.5),
-        Point("b", 200, None, "oom"),
-    ]
-    txt = format_table("title", pts)
-    assert "title" in txt and "a" in txt and "oom" in txt
-    md = points_to_markdown(pts)
-    assert md.count("|") > 8 and "—" in md

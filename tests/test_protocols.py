@@ -174,14 +174,6 @@ def test_aggregate_sum_by_key_presorted_skips_sort(vm):
     assert vm2.meter.rounds > rounds_sorted
 
 
-def test_aggregate_sum_total_is_local(vm):
-    rel = _share(vm, v=[1, 2, 3, 4])
-    r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
-    out = P.aggregate_sum_total(vm, rel, "v")
-    assert vm.meter.rounds == r0 and vm.meter.bytes_sent == b0
-    assert vm.reveal(out.columns["v"])[0] == 10
-
-
 # -------------------------------------------------------------------- join
 def test_join_cartesian_matches_pandas(vm):
     g = np.random.default_rng(2)
@@ -233,22 +225,12 @@ def test_join_cartesian_simulated_oom():
         P.join_cartesian(vm, rel_l, rel_r, "k", "k", _rng())
 
 
-# ----------------------------------------------------------- select/filter
+# ------------------------------------------------------------------ select
 def test_select_by_public_index(vm):
     rel = _share(vm, a=[10, 20, 30], b=[1, 2, 3])
     got = reveal_relation(vm, P.select_by_public_index(vm, rel, np.array([2, 0])))
     np.testing.assert_array_equal(got["a"], [30, 10])
     np.testing.assert_array_equal(got["b"], [3, 1])
-
-
-def test_filter_flags_and_oblivious_apply(vm):
-    col = vm.share(np.array([5, 7, 5, 9], dtype=np.int64))
-    flags = P.filter_eq_flags(vm, col, 5)
-    np.testing.assert_array_equal(vm.reveal(flags), [1, 0, 1, 0])
-    rel = _share(vm, x=[1, 2, 3, 4])
-    out = P.apply_filter_oblivious(vm, rel, flags)
-    # size-preserving: non-matching rows zeroed, length unchanged
-    np.testing.assert_array_equal(vm.reveal(out.columns["x"]), [1, 0, 3, 0])
 
 
 # ----------------------------------------------------------- distinct count
@@ -266,17 +248,3 @@ def test_distinct_count_sorted(vm, keys, mask, expected):
     key = vm.share(np.array(keys, dtype=np.int64))
     m = vm.share(np.array(mask, dtype=np.int64)) if mask is not None else None
     assert vm.reveal(P.distinct_count_sorted(vm, key, m))[0] == expected
-
-
-# ------------------------------------------------------------------- top-k
-def test_top_k_by(vm):
-    rel = _share(vm, k=[1, 2, 3, 4], cnt=[10, 40, 20, 30])
-    got = reveal_relation(vm, P.top_k_by(vm, rel, "cnt", 2))
-    np.testing.assert_array_equal(got["cnt"], [40, 30])
-    np.testing.assert_array_equal(got["k"], [2, 4])
-
-
-def test_top_k_larger_than_relation(vm):
-    rel = _share(vm, k=[1, 2], cnt=[5, 9])
-    got = reveal_relation(vm, P.top_k_by(vm, rel, "cnt", 10))
-    np.testing.assert_array_equal(got["cnt"], [9, 5])

@@ -57,9 +57,10 @@ def test_linear_ops_cost_no_communication(vm):
     vm.sub(av, bv)
     vm.mul_public(av, 17)
     vm.add_public(av, 5)
-    vm.sum(av)
+    total = vm.sum(av)
     assert vm.meter.rounds == before_rounds
     assert vm.meter.bytes_sent == before_bytes
+    assert vm.reveal(total)[0] == 4950
 
 
 def test_add_public_mul_public(vm):
@@ -98,14 +99,6 @@ def test_beaver_multiplication_charges_communication(vm):
     assert vm.meter.bytes_sent > b0 + 1000 * 8  # at least the openings
 
 
-def test_sum_and_segment_sum(vm):
-    a = np.array([1, 2, 3, 4, 5], dtype=np.int64)
-    av = vm.share(a)
-    assert vm.reveal(vm.sum(av))[0] == 15
-    seg = np.array([0, 0, 1, 1, 1])
-    np.testing.assert_array_equal(vm.reveal(vm.segment_sum(av, seg)), [3, 12])
-
-
 @pytest.mark.parametrize(
     "a,b,expected",
     [
@@ -125,16 +118,6 @@ def test_eq(vm):
     np.testing.assert_array_equal(
         vm.reveal(vm.eq(vm.share(a), vm.share(b))), [1, 0, 1, 0]
     )
-
-
-def test_eq_outer_flags_and_cost(vm):
-    a = np.array([1, 2, 3], dtype=np.int64)
-    b = np.array([3, 1], dtype=np.int64)
-    b0 = vm.meter.bytes_sent
-    flags = vm.reveal(vm.eq_outer(vm.share(a), vm.share(b)))
-    np.testing.assert_array_equal(flags, [0, 1, 0, 0, 1, 0])
-    # quadratic cost: at least 6 comparisons' worth of bytes
-    assert vm.meter.bytes_sent - b0 > 6 * 8
 
 
 def test_div_fixed(vm):
