@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from functools import reduce
 
+import pandas as pd
 import pyspark.sql.functions as F
+import pyspark.sql.types as T
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core import dag as D
@@ -28,7 +30,8 @@ _OPS = {
 def spark_builder(app: str) -> SparkSession.Builder:
     """A SparkSession builder with the session-level configs the tests
     and the table jobs share: 64 shuffle partitions, Arrow for the
-    pandas boundary, and broadcast joins off, so that joins exercise the
+    pandas boundary, no console progress bars (so captured output holds
+    only the tables), and broadcast joins off, so that joins exercise the
     shuffle path even at small scale (a query that wants a broadcast join
     sets the threshold back for itself)."""
     return (
@@ -36,7 +39,27 @@ def spark_builder(app: str) -> SparkSession.Builder:
         .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.showConsoleProgress", "false")
     )
+
+
+#: Spark column type per pandas dtype kind (signed/unsigned int, float, bool).
+_SPARK_TYPES = {"i": T.LongType(), "u": T.LongType(), "f": T.DoubleType(),
+                "b": T.BooleanType()}
+
+
+def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
+    """``spark.createDataFrame`` with the schema taken from the pandas
+    dtypes, so a frame with zero rows keeps its columns and types (Spark
+    cannot infer a schema from zero rows)."""
+    if len(pdf.columns) == 0:
+        raise ValueError("empty schema")
+    fields = []
+    for col, dtype in pdf.dtypes.items():
+        if dtype.kind not in _SPARK_TYPES:
+            raise TypeError(f"column {col!r}: no Spark type for dtype {dtype}")
+        fields.append(T.StructField(str(col), _SPARK_TYPES[dtype.kind]))
+    return spark.createDataFrame(pdf, schema=T.StructType(fields))
 
 
 def exec_clear_node(node: D.Node, inputs: list[DataFrame]) -> DataFrame:

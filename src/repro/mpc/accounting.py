@@ -59,7 +59,8 @@ class Meter:
     """Accumulates simulated cost alongside real wall time.
 
     One ``Meter`` is threaded through a single query execution; benchmarks
-    read ``hybrid_seconds()`` at the end.
+    read ``hybrid_seconds()`` at the end. Its wall clock runs from the
+    meter's creation.
     """
 
     rounds: int = 0

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import pandas as pd
 
+from ..backends.spark_clear import to_spark
 from ..core.columns import Party
 from ..core import dag as D
 
@@ -27,4 +28,4 @@ class QuerySpec:
 
 def gen_to_spark(spark, gen: dict[str, pd.DataFrame]):
     """Materialize generated pandas inputs as Spark DataFrames."""
-    return {name: spark.createDataFrame(pdf) for name, pdf in gen.items()}
+    return {name: to_spark(spark, pdf) for name, pdf in gen.items()}

@@ -36,7 +36,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from ..backends.oblivc_sim import OblivcBackend
 from ..backends.sharemind_sim import SharemindBackend
-from ..backends.spark_clear import exec_clear_node
+from ..backends.spark_clear import exec_clear_node, to_spark
 from ..core import dag as D
 from ..core.compiler import Plan
 from ..mpc.accounting import Meter
@@ -76,14 +76,6 @@ class Engine:
             raise ValueError(backend)
 
     # ------------------------------------------------------------ helpers
-    def _to_spark(self, pdf: pd.DataFrame) -> DataFrame:
-        if len(pdf.columns) == 0:
-            raise ValueError("empty schema")
-        if len(pdf) == 0:
-            # createDataFrame can't infer a schema from zero rows
-            pdf = pdf.astype("float64")
-        return self.spark.createDataFrame(pdf)
-
     def _charge_transfer(self, n_rows: int, n_cols: int) -> None:
         self.meter.charge_comm(rounds=1, bytes_sent=float(n_rows) * n_cols * 8)
 
@@ -100,7 +92,7 @@ class Engine:
         """The relation as one DataFrame at ``party``: parts held elsewhere
         are shipped there, a backend value is revealed (revealTo)."""
         if not isinstance(val, ClearVal):
-            return self._to_spark(self.backend.reveal(val))
+            return to_spark(self.spark, self.backend.reveal(val))
         for p, df in val.parts.items():
             if p != party:
                 self._charge_transfer(df.count(), len(df.columns))
@@ -130,8 +122,9 @@ class Engine:
 
     # ---------------------------------------------------------------- run
     def run(self, plan: Plan, inputs: dict[str, DataFrame]) -> DataFrame:
-        """Execute the plan; returns the recipient's result DataFrame."""
-        self.meter.restart_wall()
+        """Execute the plan; returns the recipient's result DataFrame. The
+        meter's wall clock is left running: it counts from the meter's
+        creation, so a caller can charge its own steps to the same clock."""
         dag = plan.dag
         cons = dag.consumers()
         values: dict[int, object] = {}
@@ -207,84 +200,66 @@ class Engine:
         clear to ``n.at``, which computes matching row-id pairs with a
         Spark join. Only matching rows then re-enter MPC (or, with no MPC
         downstream, the result is assembled in the clear)."""
-        parts_l = {p: df.toPandas() for p, df in sorted(pvals[0].parts.items())}
-        parts_r = {p: df.toPandas() for p, df in sorted(pvals[1].parts.items())}
-
-        def keys_frame(parts: dict[str, pd.DataFrame], key: str):
-            frames, offset = [], 0
-            for _, pdf in parts.items():
-                frames.append(
-                    pd.DataFrame(
-                        {key: pdf[key], "gid": np.arange(offset, offset + len(pdf))}
-                    )
-                )
-                offset += len(pdf)
-            return pd.concat(frames, ignore_index=True)
-
-        lkeys = keys_frame(parts_l, n.left_key)
-        rkeys = keys_frame(parts_r, n.right_key)
-        # the key columns cross the network in the clear
-        self._charge_transfer(len(lkeys) + len(rkeys), 2)
+        lparts = [df.toPandas() for _, df in sorted(pvals[0].parts.items())]
+        rparts = [df.toPandas() for _, df in sorted(pvals[1].parts.items())]
+        lfull = pd.concat(lparts, ignore_index=True)
+        rfull = pd.concat(rparts, ignore_index=True)
+        # the key columns, with their row positions, cross the network in
+        # the clear
+        self._charge_transfer(len(lfull) + len(rfull), 2)
         # clear join at the chosen party, in Spark
-        ldf = self._to_spark(lkeys).withColumnRenamed("gid", "lgid")
-        rdf = self._to_spark(
-            rkeys.rename(columns={n.right_key: n.left_key})
-        ).withColumnRenamed("gid", "rgid")
-        pairs = (
-            ldf.join(rdf, on=n.left_key)
-            .orderBy(n.left_key, "lgid", "rgid")
-            .toPandas()
+        key = n.left_key
+        ldf = to_spark(
+            self.spark, pd.DataFrame({key: lfull[key], "lgid": np.arange(len(lfull))})
         )
+        rdf = to_spark(
+            self.spark,
+            pd.DataFrame({key: rfull[n.right_key], "rgid": np.arange(len(rfull))}),
+        )
+        pairs = ldf.join(rdf, on=key).orderBy(key, "lgid", "rgid").toPandas()
+        lgid, rgid = pairs["lgid"].to_numpy(), pairs["rgid"].to_numpy()
         # index pairs go back to every party
         self._charge_transfer(len(pairs) * len(self.parties), 2)
+        rcols = [c for c in rfull.columns if c != n.right_key]
 
         if not self._downstream_has_mpc(cons, n):
             # assemble the join result in the clear at `n.at` (reaches
             # the recipient anyway; §7.2 "public join avoids MPC")
-            lfull = pd.concat(parts_l.values(), ignore_index=True)
-            rfull = pd.concat(parts_r.values(), ignore_index=True)
             self._charge_transfer(len(lfull), len(lfull.columns))
             self._charge_transfer(len(rfull), len(rfull.columns))
-            left_sel = lfull.iloc[pairs["lgid"].to_numpy()].reset_index(drop=True)
-            right_sel = (
-                rfull.iloc[pairs["rgid"].to_numpy()]
-                .drop(columns=[n.right_key])
-                .reset_index(drop=True)
+            out = pd.concat(
+                [
+                    lfull.iloc[lgid].reset_index(drop=True),
+                    rfull.iloc[rgid][rcols].reset_index(drop=True),
+                ],
+                axis=1,
             )
-            out = pd.concat([left_sel, right_sel], axis=1)
-            return ClearVal({n.at: self._to_spark(out[n.out_cols])})
+            return ClearVal({n.at: to_spark(self.spark, out[n.out_cols])})
 
-        # share only the matching rows of each partition into MPC
-        def matched_shared(parts, gids: np.ndarray, drop_col: str | None):
-            needed = np.unique(gids)
-            pos_of = {g: i for i, g in enumerate(needed)}
-            shared, offset = [], 0
-            for _, pdf in parts.items():
-                local = needed[(needed >= offset) & (needed < offset + len(pdf))]
-                rows = pdf.iloc[local - offset]
-                if drop_col is not None and drop_col in rows.columns:
-                    rows = rows.drop(columns=[drop_col])
-                if len(rows):
-                    shared.append(self.backend.input_rel(rows))
-                offset += len(pdf)
-            if not shared:
-                empty = pd.DataFrame(
-                    {c: np.zeros(0, np.int64) for c in (pdf.columns if drop_col is None
-                     else [c for c in pdf.columns if c != drop_col])}
-                )
-                return self.backend.input_rel(empty), pos_of
-            return self.backend.concat(shared), pos_of
-
-        left_shared, lpos = matched_shared(parts_l, pairs["lgid"].to_numpy(), None)
-        right_shared, rpos = matched_shared(
-            parts_r, pairs["rgid"].to_numpy(), n.right_key
-        )
-        li = np.array([lpos[g] for g in pairs["lgid"]], dtype=np.int64)
-        ri = np.array([rpos[g] for g in pairs["rgid"]], dtype=np.int64)
+        left_shared, li = self._share_matched(lparts, lgid, list(lfull.columns))
+        right_shared, ri = self._share_matched(rparts, rgid, rcols)
         # public indices: selection is share-local (free)
         return self.backend.concat_columns(
             self.backend.take(left_shared, li), self.backend.take(right_shared, ri)
         )
+
+    def _share_matched(self, parts: list[pd.DataFrame], gids: np.ndarray,
+                       cols: list[str]):
+        """Each party secret-shares its own rows among ``gids`` (positions
+        in the concatenation of ``parts``). Returns the shared relation and
+        each gid's row in it."""
+        needed, pos = np.unique(gids, return_inverse=True)
+        bounds = np.cumsum([len(pdf) for pdf in parts])
+        per_party = np.split(needed, np.searchsorted(needed, bounds[:-1]))
+        shared = [
+            self.backend.input_rel(pdf[cols].iloc[rows - (end - len(pdf))])
+            for pdf, rows, end in zip(parts, per_party, bounds)
+            if len(rows)
+        ]
+        if not shared:
+            empty = pd.DataFrame(np.zeros((0, len(cols)), np.int64), columns=cols)
+            return self.backend.input_rel(empty), pos
+        return self.backend.concat(shared), pos
 
     # ------------------------------------------------------- hybrid join
     def _exec_hybrid_join(self, n: D.HybridJoin, pvals):
@@ -298,8 +273,8 @@ class Engine:
         lk = be.reveal_col_to(left, n.left_key, n.stp)
         rk = be.reveal_col_to(right, n.right_key, n.stp)
         # STP: enumerate + clear join in Spark
-        ldf = self._to_spark(pd.DataFrame({"k": lk, "li": np.arange(len(lk))}))
-        rdf = self._to_spark(pd.DataFrame({"k": rk, "ri": np.arange(len(rk))}))
+        ldf = to_spark(self.spark, pd.DataFrame({"k": lk, "li": np.arange(len(lk))}))
+        rdf = to_spark(self.spark, pd.DataFrame({"k": rk, "ri": np.arange(len(rk))}))
         pairs = ldf.join(rdf, on="k").orderBy("li", "ri").toPandas()
         li = pairs["li"].to_numpy().astype(np.int64)
         ri = pairs["ri"].to_numpy().astype(np.int64)
@@ -321,8 +296,8 @@ class Engine:
         group = n.group_cols[0]
         keys = be.reveal_col_to(rel, group, n.stp)
         # STP: sort the (key, idx) relation in the clear, in Spark
-        kdf = self._to_spark(
-            pd.DataFrame({"k": keys, "idx": np.arange(len(keys))})
+        kdf = to_spark(
+            self.spark, pd.DataFrame({"k": keys, "idx": np.arange(len(keys))})
         )
         ordered = kdf.orderBy("k", "idx").toPandas()
         order = ordered["idx"].to_numpy().astype(np.int64)

@@ -1,25 +1,27 @@
 """§7.4 execution modes for the aspirin-count and comorbidity queries.
 
-Four runners, matching the paper's Figure 7 comparison:
+Three runners, matching the paper's Figure 7 comparison:
 
 * ``run_aspirin_smcql`` — SMCQL: slicing on the public patient ID, then
   one small garbled-circuit MPC *per shared slice* on the ObliVM
   backend (join + filters + distinct contribution), single-party slices
   processed locally in Spark;
-* ``run_aspirin_conclave`` — Conclave: slicing + §5.3 public join, the
-  shared-slice rows entering one secret-sharing MPC; §5.4 sort
-  elimination makes the MPC distinct-count a linear scan;
-* ``run_comorbidity_smcql`` — split aggregation (local Spark pre-agg) +
-  ObliVM garbled circuits for the combine/sort/limit;
-* ``run_comorbidity_conclave`` — the same plan on the Sharemind-style
-  secret-sharing backend (via the generic engine).
+* ``run_aspirin_conclave`` — Conclave: the same slicing and local Spark
+  counts (the paper combined SMCQL's slicing with Conclave by hand), then
+  ``aspirin.build()`` through ``compile_query`` + ``Engine`` on the
+  shared slices: a §5.3 public join, MPC filters and a §5.4
+  sort-eliminated distinct count on the secret-sharing backend;
+* ``run_comorbidity`` — ``comorbidity.build()`` through ``compile_query``
+  + ``Engine``: the split aggregation's local Spark pre-counts, then the
+  MPC combine/sort/limit on the ObliVM-style garbled-circuit backend
+  (``"smcql"``) or the Sharemind-style secret-sharing backend
+  (``"conclave"``).
 
 Each runner returns ``(result, meter)``; runtimes are the meter's hybrid
-clock.
+clock, whose wall part runs from the meter's creation.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import SparkSession
@@ -27,12 +29,9 @@ from pyspark.sql import SparkSession
 from .. import synth_data
 from ..backends.oblivc_sim import OBLIVM_GATES_PER_SECOND
 from ..core.compiler import CompileOptions, compile_query
-from ..mpc import protocols as P
 from ..mpc.accounting import Meter
 from ..mpc.circuits import gate_counts
-from ..mpc.gc_backend import WIRE_BYTES, batcher_comparators
-from ..mpc.secret_sharing import SecretSharingVM
-from ..mpc.shared_rel import SharedRelation, share_dataframe
+from ..mpc.gc_backend import WIRE_BYTES
 from ..queries import aspirin, comorbidity
 from ..queries.base import gen_to_spark
 from ..runtime.engine import Engine
@@ -73,27 +72,26 @@ def _local_aspirin_count(spark: SparkSession, diag: pd.DataFrame,
     return int(row["c"])
 
 
-def _slice_aspirin(gen: dict[str, pd.DataFrame]):
+def _slice_aspirin(spark: SparkSession, gen: dict[str, pd.DataFrame]):
+    """SMCQL slicing, shared by both systems: returns the diagnosis and
+    medication slices and the local counts of the single-party slices."""
     diag_parts = {"h1": gen["diag_h1"], "h2": gen["diag_h2"]}
     med_parts = {"h1": gen["med_h1"], "h2": gen["med_h2"]}
     locs = key_locations([diag_parts, med_parts], "patient_id")
-    return (
-        slice_by_key(diag_parts, "patient_id", key_locations=locs),
-        slice_by_key(med_parts, "patient_id", key_locations=locs),
+    dslice = slice_by_key(diag_parts, "patient_id", key_locations=locs)
+    mslice = slice_by_key(med_parts, "patient_id", key_locations=locs)
+    count = sum(
+        _local_aspirin_count(spark, dslice.single[p], mslice.single[p])
+        for p in ("h1", "h2")
     )
+    return dslice, mslice, count
 
 
 def run_aspirin_smcql(
     spark: SparkSession, gen: dict[str, pd.DataFrame], *, meter: Meter | None = None
 ) -> tuple[int, Meter]:
     meter = meter or _oblivm_meter()
-    meter.restart_wall()
-    dslice, mslice = _slice_aspirin(gen)
-    # single-party slices: local cleartext Spark processing
-    count = sum(
-        _local_aspirin_count(spark, dslice.single[p], mslice.single[p])
-        for p in ("h1", "h2")
-    )
+    dslice, mslice, count = _slice_aspirin(spark, gen)
     # shared slices: one garbled-circuit MPC per patient slice. SMCQL
     # runs the join *obliviously within each slice* — quadratic in slice
     # size — plus filters and the distinct-count contribution.
@@ -124,94 +122,32 @@ def run_aspirin_conclave(
     spark: SparkSession, gen: dict[str, pd.DataFrame], *, meter: Meter | None = None
 ) -> tuple[int, Meter]:
     meter = meter or Meter()
-    meter.restart_wall()
-    dslice, mslice = _slice_aspirin(gen)
-    count = sum(
-        _local_aspirin_count(spark, dslice.single[p], mslice.single[p])
-        for p in ("h1", "h2")
-    )
-    # public join on the shared slices, in the clear (Spark), sorted by
-    # patient_id — so the MPC distinct-count needs no oblivious sort
-    dsh = {p: df for p, df in dslice.shared.items()}
-    msh = {p: df for p, df in mslice.shared.items()}
-    vm = SecretSharingVM(n_parties=2, meter=meter, seed=5)
-    d_all = pd.concat(
-        [dsh["h1"], dsh["h2"]], keys=["h1", "h2"]
-    ).reset_index(level=0, names="src_d").reset_index(drop=True)
-    m_all = pd.concat(
-        [msh["h1"], msh["h2"]], keys=["h1", "h2"]
-    ).reset_index(level=0, names="src_m").reset_index(drop=True)
-    if len(d_all) == 0 or len(m_all) == 0:
+    dslice, mslice, count = _slice_aspirin(spark, gen)
+    if len(dslice.shared_keys) == 0:
         return count, meter  # no shared slices: nothing enters MPC
-    d_all["dgid"] = np.arange(len(d_all))
-    m_all["mgid"] = np.arange(len(m_all))
-    # key columns travel in the clear
-    meter.charge_comm(rounds=1, bytes_sent=8.0 * (len(d_all) + len(m_all)))
-    ddf = spark.createDataFrame(d_all[["patient_id", "dgid"]])
-    mdf = spark.createDataFrame(m_all[["patient_id", "mgid"]])
-    pairs = (
-        ddf.join(mdf, on="patient_id")
-        .orderBy("patient_id", "dgid", "mgid")
-        .toPandas()
-    )
-    # share only the matched rows' private columns into MPC
-    d_needed = np.unique(pairs["dgid"])
-    m_needed = np.unique(pairs["mgid"])
-    dpos = {g: i for i, g in enumerate(d_needed)}
-    mpos = {g: i for i, g in enumerate(m_needed)}
-    d_shared = share_dataframe(
-        vm, d_all.iloc[d_needed][["patient_id", "diag"]].astype(np.int64)
-    )
-    m_shared = share_dataframe(
-        vm, m_all.iloc[m_needed][["med"]].astype(np.int64)
-    )
-    li = np.array([dpos[g] for g in pairs["dgid"]], dtype=np.int64)
-    ri = np.array([mpos[g] for g in pairs["mgid"]], dtype=np.int64)
-    key = vm.take(d_shared.columns["patient_id"], li)
-    diag = vm.take(d_shared.columns["diag"], li)
-    med = vm.take(m_shared.columns["med"], ri)
-    if len(pairs) == 0:
-        return count, meter
-    f1 = P.filter_eq_flags(vm, diag, synth_data.CDIFF_CODE)
-    f2 = P.filter_eq_flags(vm, med, synth_data.ASPIRIN_CODE)
-    mask = vm.mul(f1, f2)
-    cnt = vm.reveal(P.distinct_count_sorted(vm, key, mask))[0]
-    return count + int(cnt), meter
+    shared = {f"diag_{p}": df for p, df in dslice.shared.items()}
+    shared |= {f"med_{p}": df for p, df in mslice.shared.items()}
+    spec = aspirin.build()
+    plan = compile_query(spec.output, CompileOptions(parties=spec.parties))
+    engine = Engine(spark, [p.name for p in spec.parties], meter=meter)
+    out = engine.run(plan, gen_to_spark(spark, shared)).toPandas()
+    return count + int(out["rx_cnt"].iloc[0]), meter
 
 
-def run_comorbidity_smcql(
-    spark: SparkSession, gen: dict[str, pd.DataFrame], *, top_k: int = 10,
+def run_comorbidity(
+    spark: SparkSession, gen: dict[str, pd.DataFrame], system: str, *,
     meter: Meter | None = None,
 ) -> tuple[pd.DataFrame, Meter]:
-    meter = meter or _oblivm_meter()
-    meter.restart_wall()
-    # split aggregation: local pre-counts in Spark at each hospital
-    partials = []
-    for name in ("cdiag_h1", "cdiag_h2"):
-        pdf = (
-            spark.createDataFrame(gen[name])
-            .groupBy("diag")
-            .agg(F.count(F.lit(1)).alias("cnt"))
-            .toPandas()
-        )
-        partials.append(pdf)
-    combined = pd.concat(partials, ignore_index=True).astype(np.int64)
-    # MPC combine + sort + limit under ObliVM-style garbled circuits
-    from ..backends.oblivc_sim import OblivcBackend
-
-    be = OblivcBackend(meter)
-    rel = be.input_rel(combined)
-    agg = be.aggregate(rel, ["diag"], "sum", "cnt", "cnt")
-    top = be.gc.top_k_by(agg, "cnt", top_k)
-    return be.reveal(top), meter
-
-
-def run_comorbidity_conclave(
-    spark: SparkSession, gen: dict[str, pd.DataFrame], *, meter: Meter | None = None
-) -> tuple[pd.DataFrame, Meter]:
+    """The comorbidity plan on SMCQL's (``"smcql"``) or Conclave's
+    (``"conclave"``) MPC backend."""
     spec = comorbidity.build()
     plan = compile_query(spec.output, CompileOptions(parties=spec.parties))
-    eng = Engine(spark, [p.name for p in spec.parties],
-                 meter=meter or Meter())
-    df = eng.run(plan, gen_to_spark(spark, gen))
-    return df.toPandas(), eng.meter
+    inputs = gen_to_spark(spark, gen)
+    if system == "smcql":
+        backend, meter = "oblivc", meter or _oblivm_meter()
+    elif system == "conclave":
+        backend = "sharemind"
+    else:
+        raise ValueError(system)
+    engine = Engine(spark, [p.name for p in spec.parties], backend=backend, meter=meter)
+    return engine.run(plan, inputs).toPandas(), engine.meter

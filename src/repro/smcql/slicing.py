@@ -26,30 +26,32 @@ class Slices:
 
 
 def slice_by_key(
-    parts: dict[str, pd.DataFrame], key: str, *, key_locations: dict[str, set]
+    parts: dict[str, pd.DataFrame], key: str, *, key_locations: dict[str, np.ndarray]
 ) -> Slices:
     """Split each party's rows by whether the row's key is held by more
-    than one party. ``key_locations`` maps party -> set of keys that
+    than one party. ``key_locations`` maps party -> the distinct keys that
     party holds *anywhere* (across all relations in the query), because
     a patient is MPC-bound if any of their data is split across parties."""
     parties = sorted(key_locations)
     assert len(parties) == 2, "SMCQL slicing is two-party"
-    shared_keys = np.array(
-        sorted(key_locations[parties[0]] & key_locations[parties[1]])
+    shared_keys = np.intersect1d(
+        key_locations[parties[0]], key_locations[parties[1]], assume_unique=True
     )
-    shared_set = set(shared_keys.tolist())
     single, shared = {}, {}
     for p, pdf in parts.items():
-        mask = pdf[key].isin(shared_set).to_numpy()
+        mask = np.isin(pdf[key].to_numpy(), shared_keys)
         shared[p] = pdf[mask].reset_index(drop=True)
         single[p] = pdf[~mask].reset_index(drop=True)
     return Slices(single=single, shared=shared, shared_keys=shared_keys)
 
 
-def key_locations(relations: list[dict[str, pd.DataFrame]], key: str) -> dict[str, set]:
-    """For each party, the set of keys it holds across all relations."""
-    out: dict[str, set] = {}
+def key_locations(
+    relations: list[dict[str, pd.DataFrame]], key: str
+) -> dict[str, np.ndarray]:
+    """For each party, the sorted distinct keys it holds across all
+    relations."""
+    cols: dict[str, list[np.ndarray]] = {}
     for rel in relations:
         for p, pdf in rel.items():
-            out.setdefault(p, set()).update(pdf[key].tolist())
-    return out
+            cols.setdefault(p, []).append(pdf[key].to_numpy())
+    return {p: np.unique(np.concatenate(c)) for p, c in cols.items()}

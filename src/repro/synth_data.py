@@ -155,11 +155,16 @@ def health_patient_ids(
     *, n_per_party: int, overlap_frac: float = 0.02, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two hospitals' patient-ID pools with ``overlap_frac`` of IDs
-    shared (the HealthLNK-like 2% overlap of §7.4)."""
+    shared (the HealthLNK-like 2% overlap of §7.4). Shared IDs start at
+    1, each hospital's own IDs at 1,000,000 and 2,000,000, or right after
+    the previous range once that range reaches past the round number."""
     n_shared = int(n_per_party * overlap_frac)
+    n_own = n_per_party - n_shared
     shared = np.arange(1, n_shared + 1)
-    a_only = np.arange(1_000_000, 1_000_000 + n_per_party - n_shared)
-    b_only = np.arange(2_000_000, 2_000_000 + n_per_party - n_shared)
+    a_start = max(1_000_000, n_shared + 1)
+    a_only = np.arange(a_start, a_start + n_own)
+    b_start = max(2_000_000, a_start + n_own)
+    b_only = np.arange(b_start, b_start + n_own)
     return (
         np.concatenate([shared, a_only]).astype(np.int64),
         np.concatenate([shared, b_only]).astype(np.int64),

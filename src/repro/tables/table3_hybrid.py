@@ -76,11 +76,11 @@ def _run_join(spark: SparkSession, mode: str, n: int) -> Meter:
     )
     if mode == "mpc":
         assert [j.site for j in plan.dag.nodes_of_type(D.Join)] == [("mpc",)]
-    eng = Engine(spark, [p.name for p in parties])
     data = {
         "jl": spark.createDataFrame(_keyed(n, 1, n, "v")),
         "jr": spark.createDataFrame(_keyed(n, 2, n, "w")),
     }
+    eng = Engine(spark, [p.name for p in parties])
     eng.run(plan, data).collect()
     return eng.meter
 
@@ -91,12 +91,12 @@ def _run_agg(spark: SparkSession, mode: str, n_per_party: int) -> Meter:
         output,
         CompileOptions(parties=parties, allow_cardinality_leaking_pushdown=False),
     )
-    eng = Engine(spark, [p.name for p in parties])
     n_keys = max(1, n_per_party // 10)
     data = {
         "ga": spark.createDataFrame(_keyed(n_per_party, 3, n_keys, "v")),
         "gb": spark.createDataFrame(_keyed(n_per_party, 4, n_keys, "v")),
     }
+    eng = Engine(spark, [p.name for p in parties])
     eng.run(plan, data).collect()
     return eng.meter
 

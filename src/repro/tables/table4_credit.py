@@ -34,8 +34,9 @@ def _run_system(spark: SparkSession, system: str, n_total: int) -> Meter:
     spec = Q.build(with_trust=(system == "conclave-hybrid"))
     gen = Q.gen_inputs(n_holders=n_total)
     plan = compile_query(spec.output, CompileOptions(parties=spec.parties))
+    data = gen_to_spark(spark, gen)
     eng = Engine(spark, [p.name for p in spec.parties])
-    eng.run(plan, gen_to_spark(spark, gen)).collect()
+    eng.run(plan, data).collect()
     return eng.meter
 
 

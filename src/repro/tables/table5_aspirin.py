@@ -1,8 +1,12 @@
 """Table T5 — §7.4 Figure 7a: the aspirin-count query, Conclave vs SMCQL.
 
-* **conclave** — slicing + §5.3 public join + §5.4 sort elimination over
-  the secret-sharing backend: the clear Spark join dominates; only
-  shared-patient rows see MPC, with a linear scan.
+* **conclave** — SMCQL's slicing and its local Spark counts of the
+  single-party slices, then the compiled ``aspirin.build()`` plan on
+  ``Engine`` (secret-sharing backend) over the shared slices: a §5.3
+  public join whose clear Spark join dominates, MPC filters on the
+  matched rows only, and a §5.4 sort-eliminated distinct count (a linear
+  scan). The paper likewise combined SMCQL's slicing with Conclave's
+  public join by hand.
 * **smcql** — slicing + one ObliVM garbled-circuit MPC per shared
   patient slice (quadratic within slices, ~1 s setup per slice), which
   puts 40k rows in the ~15-minute regime and DNFs beyond, as in the

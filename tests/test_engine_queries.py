@@ -3,6 +3,8 @@ against DuckDB over the cleartext union of inputs (the repro's
 correctness oracle). Every test runs the full compiled plan: local
 Spark stages, inputToMPC sharing, simulated MPC protocols, hybrid
 operators, and the final reveal."""
+import time
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -13,6 +15,7 @@ from repro.core import dag as D
 from repro.core.columns import Column, Party
 from repro.core.compiler import CompileOptions, compile_query
 from repro.core.lang import concat, newTable
+from repro.mpc.accounting import Meter
 from repro.oracle import assert_equivalent
 from repro.queries import aspirin, comorbidity, credit_card, market_concentration
 from repro.queries.base import gen_to_spark
@@ -254,6 +257,41 @@ def test_fractional_values_entering_mpc_raise(spark, backend):
     eng = Engine(spark, ["a", "b"], backend=backend)
     with pytest.raises(TypeError):
         eng.run(plan, data)
+
+
+@pytest.mark.parametrize("backend", ["sharemind", "oblivc"])
+def test_empty_mpc_answer_keeps_columns(spark, backend):
+    """A filter under MPC that matches nothing reveals zero rows, which
+    still become a Spark DataFrame with the relation's columns."""
+    pa, pb = Party("a"), Party("b")
+    t = concat([
+        newTable([Column("k"), Column("v")], at=pa, name="ta"),
+        newTable([Column("k"), Column("v")], at=pb, name="tb"),
+    ])
+    out = t.filter("v", "==", 999).collect(to=[pa])
+    plan = compile_query(out, CompileOptions(parties=[pa, pb]))
+    data = {
+        n: spark.createDataFrame(pd.DataFrame({"k": [1, 2], "v": [3, 4]}))
+        for n in ("ta", "tb")
+    }
+    got = Engine(spark, ["a", "b"], backend=backend).run(plan, data).toPandas()
+    assert len(got) == 0
+    assert list(got.columns) == ["k", "v"]
+
+
+def test_engine_run_keeps_callers_clock(spark):
+    """``run`` does not restart the meter's wall clock, so time a caller
+    spends before the run stays on the same clock."""
+    gen = market_concentration.gen_inputs(n_per_party=50)
+    spec = market_concentration.build()
+    plan = compile_query(spec.output, CompileOptions(parties=spec.parties))
+    data = gen_to_spark(spark, gen)
+    meter = Meter()
+    time.sleep(0.05)
+    t = time.perf_counter()
+    Engine(spark, [p.name for p in spec.parties], meter=meter).run(plan, data)
+    run_s = time.perf_counter() - t
+    assert meter.wall_seconds() >= 0.05 + run_s
 
 
 def test_engine_meter_accumulates(spark):

@@ -48,14 +48,18 @@ def test_credit_scores_capped_at_universe():
     assert len(pdf) == 10
 
 
-@pytest.mark.parametrize("overlap", [0.0, 0.02, 0.5, 1.0])
-def test_health_patient_ids_overlap(overlap):
+@pytest.mark.parametrize(
+    "overlap, n_per_party",
+    [(0.0, 1000), (0.02, 1000), (0.5, 1000), (1.0, 1000), (0.02, 4_000_000)],
+    ids=["0.0", "0.02", "0.5", "1.0", "0.02-4000000"],
+)
+def test_health_patient_ids_overlap(overlap, n_per_party):
     ids1, ids2 = S.health_patient_ids(
-        n_per_party=1000, overlap_frac=overlap, seed=1
+        n_per_party=n_per_party, overlap_frac=overlap, seed=1
     )
-    assert len(ids1) == len(ids2) == 1000
-    shared = set(ids1) & set(ids2)
-    assert len(shared) == int(1000 * overlap)
+    assert len(ids1) == len(ids2) == n_per_party
+    shared = np.intersect1d(ids1, ids2)
+    assert len(shared) == int(n_per_party * overlap)
 
 
 def test_health_diagnoses_cdiff_fraction():
