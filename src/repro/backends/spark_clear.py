@@ -62,6 +62,23 @@ def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     return spark.createDataFrame(pdf, schema=T.StructType(fields))
 
 
+def to_spark_single_partition(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
+    """:func:`to_spark` coalesced to one partition, for the STP's and the
+    public join's clear steps over (key, row position) arrays the engine
+    already holds.
+
+    ``SinglePartition`` satisfies both a join's clustered distribution and
+    ``orderBy``'s ordered distribution, so Catalyst plans a join or sort of
+    such frames with no ``Exchange``: one job and one task per step instead
+    of hash exchanges into the session's shuffle partitions plus a range
+    partitioning. The data is already on one machine, so a shuffle would
+    only add jobs. The callers sort on keys that form a total order, so
+    rows come back in the same order as with shuffles. Clear stages over
+    the parties' own inputs do not use this and keep the session's
+    shuffles."""
+    return to_spark(spark, pdf).coalesce(1)
+
+
 def exec_clear_node(node: D.Node, inputs: list[DataFrame]) -> DataFrame:
     """Execute one operator on already-clear Spark DataFrames."""
     if isinstance(node, D.Concat):

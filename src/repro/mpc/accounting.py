@@ -122,6 +122,3 @@ class Meter:
         """Wall time plus all simulated components — the number every
         results table reports."""
         return self.wall_seconds() + self.sim_seconds()
-
-    def restart_wall(self) -> None:
-        self._wall_start = time.perf_counter()

@@ -17,6 +17,12 @@ paper's deployment model:
   in the clear, only matching rows re-enter MPC (or, when nothing
   downstream needs MPC, the result is assembled in the clear).
 
+The STP's and the public join's clear steps join or sort (key, row
+position) arrays the engine already holds, so they run as
+single-partition Spark plans (``to_spark_single_partition``): Catalyst
+plans them with no shuffle. Clear stages over the parties' own inputs
+keep the session's shuffle partitions.
+
 The engine only dispatches. A value is either a :class:`ClearVal` or an
 opaque backend value, which it passes to the backend's public methods
 (``input_rel``, ``reveal``, the relational operators, ``take`` and the
@@ -36,7 +42,11 @@ from pyspark.sql import DataFrame, SparkSession
 
 from ..backends.oblivc_sim import OblivcBackend
 from ..backends.sharemind_sim import SharemindBackend
-from ..backends.spark_clear import exec_clear_node, to_spark
+from ..backends.spark_clear import (
+    exec_clear_node,
+    to_spark,
+    to_spark_single_partition,
+)
 from ..core import dag as D
 from ..core.compiler import Plan
 from ..mpc.accounting import Meter
@@ -198,8 +208,9 @@ class Engine:
     def _exec_public_join(self, n: D.PublicJoin, pvals, cons):
         """§5.3 public join. Key columns are public: they travel in the
         clear to ``n.at``, which computes matching row-id pairs with a
-        Spark join. Only matching rows then re-enter MPC (or, with no MPC
-        downstream, the result is assembled in the clear)."""
+        single-partition Spark join and sort. Only matching rows then
+        re-enter MPC (or, with no MPC downstream, the result is assembled
+        in the clear)."""
         lparts = [df.toPandas() for _, df in sorted(pvals[0].parts.items())]
         rparts = [df.toPandas() for _, df in sorted(pvals[1].parts.items())]
         lfull = pd.concat(lparts, ignore_index=True)
@@ -207,16 +218,19 @@ class Engine:
         # the key columns, with their row positions, cross the network in
         # the clear
         self._charge_transfer(len(lfull) + len(rfull), 2)
-        # clear join at the chosen party, in Spark
+        # clear join at the chosen party, in Spark, on one partition
         key = n.left_key
-        ldf = to_spark(
+        ldf = to_spark_single_partition(
             self.spark, pd.DataFrame({key: lfull[key], "lgid": np.arange(len(lfull))})
         )
-        rdf = to_spark(
+        rdf = to_spark_single_partition(
             self.spark,
             pd.DataFrame({key: rfull[n.right_key], "rgid": np.arange(len(rfull))}),
         )
-        pairs = ldf.join(rdf, on=key).orderBy(key, "lgid", "rgid").toPandas()
+        pairs = (
+            ldf.join(rdf, on=key).orderBy(key, "lgid", "rgid")
+            .select("lgid", "rgid").toPandas()
+        )
         lgid, rgid = pairs["lgid"].to_numpy(), pairs["rgid"].to_numpy()
         # index pairs go back to every party
         self._charge_transfer(len(pairs) * len(self.parties), 2)
@@ -264,18 +278,23 @@ class Engine:
     # ------------------------------------------------------- hybrid join
     def _exec_hybrid_join(self, n: D.HybridJoin, pvals):
         """§5.3 hybrid join (Figure 3): oblivious shuffles, key columns
-        revealed to the STP, clear join + enumeration at the STP (in
-        Spark), oblivious indexing to rebuild the result under MPC."""
+        revealed to the STP, clear join + enumeration at the STP (a
+        single-partition Spark join and sort), oblivious indexing to
+        rebuild the result under MPC."""
         be = self.backend
         left = be.shuffle(self._ensure_mpc(pvals[0]))
         right = be.shuffle(self._ensure_mpc(pvals[1]))
         # reveal key-only projections to the STP
         lk = be.reveal_col_to(left, n.left_key, n.stp)
         rk = be.reveal_col_to(right, n.right_key, n.stp)
-        # STP: enumerate + clear join in Spark
-        ldf = to_spark(self.spark, pd.DataFrame({"k": lk, "li": np.arange(len(lk))}))
-        rdf = to_spark(self.spark, pd.DataFrame({"k": rk, "ri": np.arange(len(rk))}))
-        pairs = ldf.join(rdf, on="k").orderBy("li", "ri").toPandas()
+        # STP: enumerate + clear join in Spark, on one partition
+        ldf = to_spark_single_partition(
+            self.spark, pd.DataFrame({"k": lk, "li": np.arange(len(lk))})
+        )
+        rdf = to_spark_single_partition(
+            self.spark, pd.DataFrame({"k": rk, "ri": np.arange(len(rk))})
+        )
+        pairs = ldf.join(rdf, on="k").orderBy("li", "ri").select("li", "ri").toPandas()
         li = pairs["li"].to_numpy().astype(np.int64)
         ri = pairs["ri"].to_numpy().astype(np.int64)
         # STP secret-shares the index relations (inputToMPC)
@@ -289,14 +308,18 @@ class Engine:
     # ------------------------------------------------ hybrid aggregation
     def _exec_hybrid_agg(self, n: D.HybridAggregate, pvals):
         """§5.3 hybrid aggregation: shuffle, reveal the group-by column
-        to the STP, clear sort at the STP (Spark), then the backend's
-        oblivious accumulation over the STP's order and equality flags."""
+        to the STP, clear sort at the STP (a single-partition Spark sort),
+        then the backend's oblivious accumulation over the STP's order and
+        equality flags. One group-by column only, as under MPC."""
+        if len(n.group_cols) != 1:
+            raise NotImplementedError("multi-column group-by")
+        (group,) = n.group_cols
         be = self.backend
         rel = be.shuffle(self._ensure_mpc(pvals[0]))
-        group = n.group_cols[0]
         keys = be.reveal_col_to(rel, group, n.stp)
-        # STP: sort the (key, idx) relation in the clear, in Spark
-        kdf = to_spark(
+        # STP: sort the (key, idx) relation in the clear, in Spark, on one
+        # partition
+        kdf = to_spark_single_partition(
             self.spark, pd.DataFrame({"k": keys, "idx": np.arange(len(keys))})
         )
         ordered = kdf.orderBy("k", "idx").toPandas()

@@ -1,6 +1,4 @@
 """Tests for the cost-accounting meter and hybrid clock."""
-import time
-
 import pytest
 
 from repro.mpc.accounting import (
@@ -56,14 +54,6 @@ def test_extra_seconds_in_hybrid_clock():
     m.charge_extra(5.0)
     assert m.sim_seconds() == pytest.approx(5.0)
     assert m.hybrid_seconds() >= 5.0
-
-
-def test_wall_clock_restart():
-    m = Meter()
-    time.sleep(0.01)
-    assert m.wall_seconds() >= 0.01
-    m.restart_wall()
-    assert m.wall_seconds() < 0.01
 
 
 def test_hybrid_seconds_combines_all_components():

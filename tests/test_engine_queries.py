@@ -212,6 +212,29 @@ def test_aspirin_public_join_cost_is_pinned(spark):
     assert (eng.meter.rounds, eng.meter.bytes_sent) == (68, 486280.0)
 
 
+def test_stp_and_public_join_plans_shuffle_nothing(spark, monkeypatch):
+    """The STP's and the public join's clear steps run on one partition:
+    no plan the engine collects during a run holds an Exchange."""
+    frame_type = type(spark.range(1))  # the concrete (classic) DataFrame
+    plans = []
+    to_pandas = frame_type.toPandas
+
+    def spy(df):
+        plans.append(df._jdf.queryExecution().executedPlan().toString())
+        return to_pandas(df)
+
+    monkeypatch.setattr(frame_type, "toPandas", spy)
+    _, plan, _, _ = _run(spark, credit_card, credit_card.gen_inputs(n_holders=200))
+    assert plan.dag.nodes_of_type(D.HybridJoin)
+    assert plan.dag.nodes_of_type(D.HybridAggregate)
+    n_credit = len(plans)
+    gen = aspirin.gen_inputs(n_per_party=200, overlap_frac=0.1)
+    _, plan, _, _ = _run(spark, aspirin, gen)
+    assert plan.dag.nodes_of_type(D.PublicJoin)
+    assert n_credit and len(plans) > n_credit
+    assert [p for p in plans if "Exchange" in p] == []
+
+
 # ---------------------------------------------------------- comorbidity
 def test_comorbidity_end_to_end(spark):
     gen = comorbidity.gen_inputs(n_per_party=500, distinct_key_frac=0.05)
@@ -256,6 +279,31 @@ def test_fractional_values_entering_mpc_raise(spark, backend):
     data = {n: spark.createDataFrame(pd.DataFrame({"v": [3]})) for n in ("ta", "tb")}
     eng = Engine(spark, ["a", "b"], backend=backend)
     with pytest.raises(TypeError):
+        eng.run(plan, data)
+
+
+def test_hybrid_aggregation_rejects_multi_column_group_by(spark):
+    """Grouping by two STP-trusted columns must not silently group by the
+    first one only: like the MPC aggregate, the hybrid one raises."""
+    pa, pb, pc = Party("a"), Party("b"), Party("c")
+    cols = [Column("g", trust=(pc,)), Column("h", trust=(pc,)), Column("v")]
+    t = concat([newTable(cols, at=pa, name="ta"), newTable(cols, at=pb, name="tb")])
+    out = t.aggregate("s", D.SUM, group=["g", "h"], over="v").collect(to=[pc])
+    plan = compile_query(
+        out,
+        CompileOptions(parties=[pa, pb, pc], allow_cardinality_leaking_pushdown=False),
+    )
+    assert plan.dag.nodes_of_type(D.HybridAggregate)
+    data = {
+        "ta": spark.createDataFrame(
+            pd.DataFrame({"g": [1, 1, 2], "h": [1, 2, 1], "v": [10, 5, 30]})
+        ),
+        "tb": spark.createDataFrame(
+            pd.DataFrame({"g": [1, 2], "h": [2, 1], "v": [20, 7]})
+        ),
+    }
+    eng = Engine(spark, ["a", "b", "c"])
+    with pytest.raises(NotImplementedError, match="multi-column group-by"):
         eng.run(plan, data)
 
 
